@@ -359,3 +359,16 @@ func TestSimRunnerObservations(t *testing.T) {
 		t.Errorf("per-request slowdown = %.2f, want ≈ 26", perReq)
 	}
 }
+
+// BenchmarkDeriveFromSeries times the detection half on a derive plan's
+// series (k = 1..60, ubd = 27): every period detector plus the Eq. 2
+// model fit, which dominates.
+func BenchmarkDeriveFromSeries(b *testing.B) {
+	d := sawtoothSeries(1, 1, 27, 1, 60, 0, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DeriveFromSeries(d, 1, 1, Options{KMin: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

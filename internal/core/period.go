@@ -7,9 +7,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
-	"rrbus/internal/analytic"
 	"rrbus/internal/stats"
 )
 
@@ -121,6 +121,12 @@ func PeakPeriod(d []float64) int {
 // cycle. Unlike the period-based methods this resolves δnop > 1 aliasing:
 // the sampled saw-tooth values themselves, not just their repetition
 // distance, must match.
+//
+// The scan allocates only the observed z-score and one prediction
+// buffer. Each prediction walks δ mod ubd as a running residue instead of
+// dividing per sample, and is z-scored inside the residual sum. The float
+// operations and their order are those of a separate z-score pass, so the
+// residual is the same to the bit.
 func ModelFitUBD(d []float64, kmin int, deltaNop float64, maxUBD int) (ubd int, residual float64) {
 	n := len(d)
 	if n < 6 || maxUBD < 2 {
@@ -134,29 +140,51 @@ func ModelFitUBD(d []float64, kmin int, deltaNop float64, maxUBD int) (ubd int, 
 	if obs == nil {
 		return 0, math.Inf(1)
 	}
+	if kmin < 0 {
+		panic(fmt.Sprintf("core: negative kmin %d", kmin))
+	}
 	// A candidate is only identifiable when the sweep spans at least two
 	// of its periods in δ-space (n*dn cycles): otherwise a partial
 	// descending ramp fits every larger ubd equally well (ill-posed).
 	if cap := n * dn / 2; maxUBD > cap {
 		maxUBD = cap
 	}
+	nf := float64(n)
 	best, bestRes := 0, math.Inf(1)
 	pred := make([]float64, n)
 	for cand := 2; cand <= maxUBD; cand++ {
+		step := dn % cand
 		for d0 := 0; d0 < cand; d0++ {
-			for i := 0; i < n; i++ {
-				pred[i] = float64(analytic.Gamma(d0+(kmin+i)*dn, cand))
+			// pred[i] = γ(d0+(kmin+i)·dn, cand), with r = δ mod cand.
+			// Every partial sum is an integer far below 2^53, so the
+			// integer sum equals the sequential float64 sum exactly.
+			r := (d0 + kmin*dn) % cand
+			sum := 0
+			for i := range pred {
+				var g int
+				switch {
+				case r != 0:
+					g = cand - r
+				case i == 0 && d0 == 0 && kmin == 0:
+					g = cand // γ(0) = ubd
+				}
+				pred[i] = float64(g)
+				sum += g
+				if r += step; r >= cand {
+					r -= cand
+				}
 			}
-			zp := zscore(pred)
-			if zp == nil {
+			m := float64(sum) / nf
+			sd := stats.StdAbout(pred, m)
+			if sd == 0 {
 				continue
 			}
 			var sse float64
-			for i := range obs {
-				diff := obs[i] - zp[i]
+			for i, x := range pred {
+				diff := obs[i] - (x-m)/sd
 				sse += diff * diff
 			}
-			sse /= float64(n)
+			sse /= nf
 			if sse < bestRes {
 				best, bestRes = cand, sse
 			}
@@ -168,7 +196,7 @@ func ModelFitUBD(d []float64, kmin int, deltaNop float64, maxUBD int) (ubd int, 
 // zscore returns the standardized series, or nil for constant input.
 func zscore(d []float64) []float64 {
 	m := stats.Mean(d)
-	s := stats.Std(d)
+	s := stats.StdAbout(d, m)
 	if s == 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,5 +178,179 @@ func TestPropExactPeriodIsMinimal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// modelFitUBDRef is ModelFitUBD as it was before the allocation-free
+// rewrite, kept verbatim (with its z-score helper) as the oracle the
+// rewrite must match bit for bit.
+func modelFitUBDRef(d []float64, kmin int, deltaNop float64, maxUBD int) (ubd int, residual float64) {
+	n := len(d)
+	if n < 6 || maxUBD < 2 {
+		return 0, math.Inf(1)
+	}
+	dn := int(math.Round(deltaNop))
+	if dn < 1 {
+		dn = 1
+	}
+	obs := zscoreRef(d)
+	if obs == nil {
+		return 0, math.Inf(1)
+	}
+	// A candidate is only identifiable when the sweep spans at least two
+	// of its periods in δ-space (n*dn cycles): otherwise a partial
+	// descending ramp fits every larger ubd equally well (ill-posed).
+	if cap := n * dn / 2; maxUBD > cap {
+		maxUBD = cap
+	}
+	best, bestRes := 0, math.Inf(1)
+	pred := make([]float64, n)
+	for cand := 2; cand <= maxUBD; cand++ {
+		for d0 := 0; d0 < cand; d0++ {
+			for i := 0; i < n; i++ {
+				pred[i] = float64(analytic.Gamma(d0+(kmin+i)*dn, cand))
+			}
+			zp := zscoreRef(pred)
+			if zp == nil {
+				continue
+			}
+			var sse float64
+			for i := range obs {
+				diff := obs[i] - zp[i]
+				sse += diff * diff
+			}
+			sse /= float64(n)
+			if sse < bestRes {
+				best, bestRes = cand, sse
+			}
+		}
+	}
+	return best, bestRes
+}
+
+// zscoreRef returns the standardized series, or nil for constant input.
+func zscoreRef(d []float64) []float64 {
+	m := stats.Mean(d)
+	s := stats.Std(d)
+	if s == 0 {
+		return nil
+	}
+	out := make([]float64, len(d))
+	for i, x := range d {
+		out[i] = (x - m) / s
+	}
+	return out
+}
+
+// checkFitMatchesRef fails t unless ModelFitUBD and the reference agree
+// on ubd and on the residual's exact bits.
+func checkFitMatchesRef(t *testing.T, d []float64, kmin int, deltaNop float64, maxUBD int) {
+	t.Helper()
+	got, gotRes := ModelFitUBD(d, kmin, deltaNop, maxUBD)
+	want, wantRes := modelFitUBDRef(d, kmin, deltaNop, maxUBD)
+	if got != want || math.Float64bits(gotRes) != math.Float64bits(wantRes) {
+		t.Fatalf("ModelFitUBD(n=%d, kmin=%d, δnop=%v, maxUBD=%d) = (%d, %x), reference (%d, %x)\nseries %v",
+			len(d), kmin, deltaNop, maxUBD, got, math.Float64bits(gotRes), want, math.Float64bits(wantRes), d)
+	}
+}
+
+// TestModelFitMatchesReference is the oracle check: on seeded random
+// series the rewritten fit returns the reference's ubd and a residual
+// with identical bits. The draws cover kmin = 0 (whose δ0 = 0 candidate
+// takes Gamma's δ = 0 → ubd branch), δnop rounding to 1, 2 and 3 (and
+// below 0.5, clamped to 1), maxUBD on both sides of the n·δnop/2 cap,
+// flat series and series too short to fit.
+func TestModelFitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	deltaNops := []float64{0.3, 0.7, 1, 1.4, 1.6, 2, 2.49, 2.5, 3, 3.4}
+	draws := 1500
+	if testing.Short() {
+		draws = 300
+	}
+	for it := 0; it < draws; it++ {
+		n := 1 + rng.Intn(48)
+		kmin := rng.Intn(4)
+		if it%3 == 0 {
+			kmin = 0
+		}
+		deltaNop := deltaNops[rng.Intn(len(deltaNops))]
+		dn := max(int(math.Round(deltaNop)), 1)
+		cap := n * dn / 2
+		var maxUBD int
+		if it%2 == 0 {
+			maxUBD = rng.Intn(cap + 2) // at or below the cap
+		} else {
+			maxUBD = cap + 1 + rng.Intn(64) // above it
+		}
+		var d []float64
+		switch it % 5 {
+		case 0: // noisy saw-tooth of a random ubd and phase
+			ubd := 2 + rng.Intn(30)
+			d = sawtoothSeries(rng.Intn(ubd), dn, ubd, kmin, n, 50*rng.Float64(), rng.Int63())
+		case 1: // uniform noise
+			d = make([]float64, n)
+			for i := range d {
+				d[i] = rng.NormFloat64() * 1e3
+			}
+		case 2: // few distinct values: ties between candidates
+			d = make([]float64, n)
+			for i := range d {
+				d[i] = float64(rng.Intn(3))
+			}
+		case 3: // flat
+			d = make([]float64, n)
+			for i := range d {
+				d[i] = 17.25
+			}
+		case 4: // exact saw-tooth: zero-residual ties
+			ubd := 2 + rng.Intn(20)
+			d = sawtoothSeries(rng.Intn(ubd), dn, ubd, kmin, n, 0, 0)
+		}
+		checkFitMatchesRef(t, d, kmin, deltaNop, maxUBD)
+	}
+}
+
+// FuzzModelFitUBD checks the rewritten fit against the reference on
+// arbitrary series. Each data byte is one sample (scaled by 1/7 so the
+// z-scores are inexact); δnop is given in tenths of a cycle. The seed
+// corpus is in testdata/fuzz/FuzzModelFitUBD.
+func FuzzModelFitUBD(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, kmin, deltaNopTenths, maxUBD uint8) {
+		if len(data) > 96 {
+			data = data[:96]
+		}
+		d := make([]float64, len(data))
+		for i, b := range data {
+			d[i] = float64(b) / 7
+		}
+		checkFitMatchesRef(t, d, int(kmin), float64(deltaNopTenths)/10, int(maxUBD))
+	})
+}
+
+// TestModelFitAllocs pins the fit's allocations: the observed z-score and
+// the prediction buffer, however many candidates it scans (n = 60 caps
+// maxUBD at 30).
+func TestModelFitAllocs(t *testing.T) {
+	d := sawtoothSeries(1, 1, 27, 1, 60, 0, 1)
+	for _, maxUBD := range []int{4, 16, 30} {
+		allocs := testing.AllocsPerRun(20, func() { ModelFitUBD(d, 1, 1, maxUBD) })
+		if allocs > 2 {
+			t.Errorf("maxUBD=%d: %v allocations per call, want <= 2", maxUBD, allocs)
+		}
+	}
+}
+
+// BenchmarkModelFitUBD times the fit at the series lengths of a derive
+// plan (n = 60, ubd = 27) and of abl-scaling's largest geometry (n8-l15:
+// n = 218, ubd = 105), with maxUBD as detect sets it.
+func BenchmarkModelFitUBD(b *testing.B) {
+	for _, tc := range []struct{ n, ubd int }{{60, 27}, {218, 105}} {
+		d := sawtoothSeries(1, 1, tc.ubd, 1, tc.n, 0, 1)
+		b.Run(fmt.Sprintf("n%d", tc.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ModelFitUBD(d, 1, 1, 4*tc.n)
+			}
+		})
 	}
 }

@@ -160,10 +160,14 @@ func Mean(xs []float64) float64 {
 
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 {
+	return StdAbout(xs, Mean(xs))
+}
+
+// StdAbout is Std for a caller that already holds the mean m of xs.
+func StdAbout(xs []float64, m float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	m := Mean(xs)
 	var s float64
 	for _, x := range xs {
 		d := x - m

@@ -61,6 +61,8 @@ type DedupStore struct {
 // (returned as a miss: this session simulates it) or, when another view
 // already owns it, blocks until that claim resolves and retries — the
 // retry normally finds the row the owner recorded and reports a hit.
+// A fresh claim is checked against the store once more, so a row an
+// owner recorded between the first read and the claim is still a hit.
 func (v *DedupStore) Get(jobHash string) (scenario.Result, bool, error) {
 	for {
 		r, ok, err := v.under.Get(jobHash)
@@ -75,7 +77,14 @@ func (v *DedupStore) Get(jobHash string) (scenario.Result, bool, error) {
 			v.mu.Lock()
 			v.owned[jobHash] = struct{}{}
 			v.mu.Unlock()
-			return r, false, nil
+			// The miss above was read before the claim: an owner may have
+			// recorded the row and released its claim in between. Look
+			// once more now that the claim is ours.
+			r, ok, err = v.under.Get(jobHash)
+			if ok || err != nil {
+				v.release(jobHash)
+			}
+			return r, ok, err
 		}
 		if f.owner == v {
 			// Our own claim — a plan listing the same job twice. Both

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,5 +276,57 @@ func TestDedupOwnerCloseMidSimulationReleasesWaiters(t *testing.T) {
 	}
 	if simulated != 1 || hits != waiters-1 {
 		t.Fatalf("waiters simulated %d / hit %d, want exactly one re-simulation and %d hits", simulated, hits, waiters-1)
+	}
+}
+
+// hookGetStore runs hook once, on the first Get, after the underlying
+// read and before its result is returned: it widens the window between a
+// view reading the store and taking its claim.
+type hookGetStore struct {
+	store.Store
+	fired atomic.Bool
+	hook  func()
+}
+
+func (h *hookGetStore) Get(hash string) (scenario.Result, bool, error) {
+	r, ok, err := h.Store.Get(hash)
+	if h.fired.CompareAndSwap(false, true) {
+		h.hook()
+	}
+	return r, ok, err
+}
+
+// TestDedupClaimAfterOwnerRelease is the claim race: a reader has read a
+// miss but not yet claimed the hash when the owner records the row and
+// releases its claim. The reader must see the recorded row, not claim
+// the hash and simulate the job again.
+func TestDedupClaimAfterOwnerRelease(t *testing.T) {
+	c, err := scenario.CompileGenerator("fig2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Jobs) != 1 {
+		t.Fatalf("fig2 compiles to %d jobs, the test needs exactly 1", len(c.Jobs))
+	}
+	d := store.NewDedup()
+	under := &hookGetStore{Store: store.NewMem()}
+	owner := &store.Session{Store: d.Wrap(under), Workers: 1}
+	reader := &store.Session{Store: d.Wrap(under), Workers: 1}
+	// The reader's first Get fires the hook: the owner's whole run —
+	// claim, simulate, Put, release — lands inside the reader's window.
+	under.hook = func() {
+		if _, err := owner.RunAll(c); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := reader.RunAll(c); err != nil {
+		t.Fatal(err)
+	}
+	if got := owner.Simulated() + reader.Simulated(); got != 1 {
+		t.Errorf("job simulated %d times (owner %d, reader %d), want once",
+			got, owner.Simulated(), reader.Simulated())
+	}
+	if got := reader.StoreHits(); got != 1 {
+		t.Errorf("reader store hits = %d, want 1", got)
 	}
 }

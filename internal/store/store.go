@@ -18,6 +18,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -307,7 +308,9 @@ func marshalEntry(jobHash string, r scenario.Result) ([]byte, error) {
 // PutPlan implements PlanRecorder. The manifest records the plan's
 // declarative spec alongside its job hashes, which is what lets repair
 // re-simulate a quarantined or missing row from the plans that
-// reference it.
+// reference it. The manifest file is named by the plan hash, so a re-run
+// of a recorded plan finds exactly these bytes there already; identical
+// manifests are not rewritten. A missing or damaged one is.
 func (d *Dir) PutPlan(c *scenario.Compiled) error {
 	m := planManifest{
 		Schema:    scenario.ResultSchema,
@@ -321,7 +324,12 @@ func (d *Dir) PutPlan(c *scenario.Compiled) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal plan %s: %w", c.Hash(), err)
 	}
-	return d.writeAtomic(filepath.Join(d.root, "plans", c.Hash()+".json"), append(data, '\n'))
+	data = append(data, '\n')
+	path := filepath.Join(d.root, "plans", c.Hash()+".json")
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
+		return nil
+	}
+	return d.writeAtomic(path, data)
 }
 
 // Plans lists the plan hashes recorded in the store, in lexical order.
@@ -406,8 +414,8 @@ func (d *Dir) writeAtomic(path string, data []byte) error {
 		return Transient(err)
 	}
 	// CreateTemp creates 0600; the store is documented as shareable
-	// across users and processes, so widen to the usual 0644 (the
-	// process umask still applies at the OS level for stricter setups).
+	// across users and processes, so widen to the usual 0644. fchmod
+	// ignores the process umask, so entries are always 0644.
 	if err := tmp.Chmod(0o644); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())

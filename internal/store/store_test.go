@@ -362,6 +362,68 @@ func TestDirStorePlanManifests(t *testing.T) {
 	}
 }
 
+// TestPutPlanSkipsIdenticalManifest checks that recording a plan again
+// leaves its manifest file alone (same file, no temp debris), while a
+// damaged or missing manifest is rewritten to the right bytes.
+func TestPutPlanSkipsIdenticalManifest(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "results")
+	d, err := store.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compileFig7(t, 2)
+	path := filepath.Join(root, "plans", c.Hash()+".json")
+	if err := d.PutPlan(c); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutPlan(c); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("an identical manifest was rewritten")
+	}
+	tmps, err := filepath.Glob(filepath.Join(root, "plans", ".tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+
+	damaged := bytes.Replace(want, []byte(c.Hash()), []byte(strings.Repeat("0", len(c.Hash()))), 1)
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutPlan(c); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("damaged manifest not restored (err %v):\n%s", err, got)
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutPlan(c); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("missing manifest not rewritten (err %v):\n%s", err, got)
+	}
+}
+
 // TestSessionRunAllRefusesShard checks RunAll's partial-series guard: a
 // sharded session must stream to a sink, not collect a series with rows
 // missing by construction.
