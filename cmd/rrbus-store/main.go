@@ -8,10 +8,11 @@
 //	rrbus-store ls <dir>       list recorded plans: name, generator,
 //	                           job count and hit coverage (how many of
 //	                           the plan's job hashes have a row today)
-//	rrbus-store verify <dir>   walk every jobs/<hh>/<hash>.json entry
-//	                           and plans/<hash>.json manifest, re-check
-//	                           integrity checksums, filing and schema
-//	                           versions; exit 1 on any corruption
+//	rrbus-store verify <dir>   read every record of the rows/<n>.log
+//	                           row logs and every plans/<hash>.json
+//	                           manifest, re-check integrity checksums
+//	                           and schema versions; exit 1 on any
+//	                           corruption
 //	rrbus-store repair <dir>   quarantine every damaged entry, then
 //	                           re-simulate the missing rows from the
 //	                           plan manifests that recorded their spec;
@@ -19,7 +20,9 @@
 //	rrbus-store gc <dir>       list the quarantined debris and the rows
 //	                           no plan manifest references; -rm drops
 //	                           healed quarantine entries and the
-//	                           unreferenced rows, -dry-run never removes
+//	                           unreferenced rows and rewrites the row
+//	                           logs to give their space back, -dry-run
+//	                           never removes
 //	rrbus-store compact <dir>  strip the bounded trace windows out of
 //	                           trace-bearing rows, preserving every
 //	                           non-trace field (bounds and tables render
@@ -216,8 +219,9 @@ func repair(st *rrbus.DirStore, dir string, workers int, backend rrbus.Backend) 
 // gc lists the quarantine directory — hash, healed status, reason — and
 // the job rows no plan manifest references. With -rm it drops the
 // quarantine entries whose hash holds a healthy row again and the
-// unreferenced rows; -dry-run reports without removing anything and
-// wins over -rm.
+// unreferenced rows, then rewrites the row logs no live writer holds
+// without the removed and quarantined records; -dry-run reports
+// without removing anything and wins over -rm.
 func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) {
 	infos, err := st.Quarantined()
 	fail(err)
@@ -235,6 +239,8 @@ func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) 
 			fail(st.RemoveJob(h))
 			dropped++
 		}
+		_, err := st.Reclaim()
+		fail(err)
 	}
 
 	doc := &rrbus.Document{Title: "gc " + dir}
@@ -297,7 +303,7 @@ func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) 
 }
 
 // compact strips the bounded trace windows out of every trace-bearing
-// row, rewriting the entries in place with fresh integrity checksums.
+// row, rewriting the row logs with fresh integrity checksums.
 // Every non-trace field survives, so bounds and tables re-render
 // byte-identically; -dry-run only sizes the savings.
 func compact(st *rrbus.DirStore, dir string, dryRun bool, backend rrbus.Backend) {

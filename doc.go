@@ -258,14 +258,25 @@
 // stripped, build defaults made explicit) plus the isolation pairing —
 // and a compiled Plan hashes its ordered job list. A Store keys rows by
 // job hash: the in-memory MemStore for in-process pipelines, the
-// directory-backed DirStore (integrity-checked entries under
-// jobs/<hh>/<hash>.json plus per-plan manifests under plans/) for
-// sharing across processes and machines. A Session consults the store
-// before simulating, records fresh rows as they stream, and counts
-// hits vs simulations; since job hashes ignore labeling, a derivation
-// sweep reuses the rows a Fig. 7 sweep recorded even though their job
-// IDs differ. Stored entries carry a checksum and a schema version: a
-// bit-flipped entry or an archive written by a newer build surfaces as
+// directory-backed DirStore for sharing across processes and machines.
+// A DirStore appends each row as one integrity-checked record to a row
+// log under rows/ — every writing handle holds the lock of its own log,
+// so a recorded row costs one write, not a new file — and keeps
+// per-plan manifests under plans/. Readers find rows through an
+// in-memory index and read each with one pread; rows another process
+// appended become visible at a handle's next miss, which rescans only
+// the bytes appended since its last scan. Removal and quarantine blank
+// a record in place, so offsets never move under a live reader;
+// `rrbus-store compact` and `gc -rm` give the space back by rewriting
+// logs. A store in the earlier one-file-per-row layout
+// (jobs/<hh>/<hash>.json) is imported on its first open.
+//
+// A Session consults the store before simulating, records fresh rows as
+// they stream, and counts hits vs simulations; since job hashes ignore
+// labeling, a derivation sweep reuses the rows a Fig. 7 sweep recorded
+// even though their job IDs differ. Stored records carry a checksum and
+// a schema version: a bit-flipped record or an archive written by a
+// newer build surfaces as
 // an error, never as a silently wrong bound. The CLIs expose all of
 // this as -store <dir>; CI re-runs a sweep against a warm store every
 // push and asserts it simulates nothing while rendering identical
@@ -273,7 +284,7 @@
 //
 // The store is auditable: cmd/rrbus-store lists a directory's recorded
 // plan manifests with their current row coverage (`rrbus-store ls`) and
-// re-verifies every entry's integrity checksum, filing and schema
+// re-verifies every record's integrity checksum and schema
 // (`rrbus-store verify`, nonzero exit on corruption) — the audit the
 // "measure once" contract rests on.
 //
@@ -297,17 +308,17 @@
 // jobs.
 //
 // Corruption heals instead of failing. When a Session reads a store
-// entry whose integrity checksum no longer matches (CorruptError), and
-// the store can quarantine (DirStore, MemStore), the damaged entry is
-// moved to quarantine/<hash>.json alongside a <hash>.reason file, the
-// job re-simulates as if it were a store miss, and the fresh row is
-// recorded in the entry's place — the sweep completes byte-identical
-// to a clean run, with Session.Quarantined and Session.Repaired
-// counting the healings. Entries written by a newer schema are
-// deliberately NOT healed: that data is valid, this build just cannot
+// record whose integrity checksum no longer matches (CorruptError), and
+// the store can quarantine (DirStore, MemStore), the damaged bytes are
+// copied to quarantine/<hash>.json alongside a <hash>.reason file and
+// the record is blanked in its log, the job re-simulates as if it were
+// a store miss, and the fresh row is appended — the sweep completes
+// byte-identical to a clean run, with Session.Quarantined and
+// Session.Repaired counting the healings. Records written by a newer
+// schema are deliberately NOT healed: that data is valid, this build just cannot
 // read it, so it surfaces as an error. rrbus-store repair performs the
 // same healing offline for a whole directory (quarantining damaged and
-// misfiled entries, then re-simulating everything missing from the
+// unreadable records, then re-simulating everything missing from the
 // plan manifests that recorded their spec), and rrbus-store gc lists
 // and drops the quarantined debris once its hashes hold healthy rows
 // again.

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -144,21 +145,18 @@ func main() {
 	fmt.Printf("resumed:    %2d served from store, %2d simulated — only the unfinished jobs\n",
 		resumed.StoreHits(), resumed.Simulated())
 
-	// 7. Corruption heals: flip a byte in a recorded entry file. The
-	// next session that reads it sees the integrity-checksum mismatch,
-	// quarantines the damaged file (quarantine/<hash>.json + a .reason
-	// note), re-simulates the row as if it were a miss, and records the
-	// fresh result in its place — the sweep completes as if nothing
-	// happened. (rrbus-store repair heals a whole directory offline the
-	// same way; rrbus-store gc lists and drops the quarantined debris.)
+	// 7. Corruption heals: flip a byte inside a recorded row. Rows are
+	// records — one line each — appended to the row logs under rows/;
+	// the byte is flipped in place, as a bad disk would. The next
+	// session that reads the row sees the integrity-checksum mismatch,
+	// quarantines the record (its bytes go to quarantine/<hash>.json
+	// with a .reason note, and the record is blanked in its log),
+	// re-simulates the row as if it were a miss, and appends the fresh
+	// result — the sweep completes as if nothing happened. (rrbus-store
+	// repair heals a whole directory offline the same way; rrbus-store
+	// gc lists and drops the quarantined debris.)
 	hash := plan.JobHashes()[0]
-	entry := filepath.Join(dir2, "jobs", hash[:2], hash+".json")
-	data, err := os.ReadFile(entry)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data[len(data)/2] ^= 1
-	if err := os.WriteFile(entry, data, 0o644); err != nil {
+	if err := flipByteInRecord(dir2, hash); err != nil {
 		log.Fatal(err)
 	}
 	healer := &rrbus.Session{Store: store2, Retry: rrbus.DefaultRetry}
@@ -174,4 +172,35 @@ func main() {
 	for _, q := range qs {
 		fmt.Printf("quarantine: %.12s… healed=%v\n", q.Hash, q.Healed)
 	}
+}
+
+// flipByteInRecord flips one bit in the middle of the record stored
+// under hash, in whichever row log holds it.
+func flipByteInRecord(dir, hash string) error {
+	logs, err := filepath.Glob(filepath.Join(dir, "rows", "*.log"))
+	if err != nil {
+		return err
+	}
+	for _, path := range logs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		at := bytes.Index(data, []byte(`"hash":"`+hash+`"`))
+		if at < 0 {
+			continue
+		}
+		end := at + bytes.IndexByte(data[at:], '\n')
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		mid := (at + end) / 2
+		_, err = f.WriteAt([]byte{data[mid] ^ 1}, int64(mid))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	return fmt.Errorf("no record of %s under %s", hash, dir)
 }

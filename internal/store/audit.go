@@ -2,18 +2,20 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"rrbus/internal/scenario"
 )
 
 // The audit half of the store: read-only tooling over the directory
-// layout (jobs/<hh>/<hash>.json entries, plans/<hash>.json manifests)
-// that cmd/rrbus-store exposes as `ls` and `verify`. An archived store
+// layout (rows/<n>.log row logs, plans/<hash>.json manifests) that
+// cmd/rrbus-store exposes as `ls` and `verify`. An archived store
 // is only as trustworthy as its last audit — a recorded row that no
 // longer verifies must surface before a Session silently serves the
 // sweep it belongs to.
@@ -26,7 +28,7 @@ type PlanInfo struct {
 	Name      string `json:"name,omitempty"`
 	Generator string `json:"generator,omitempty"`
 	// Jobs is the manifest's job count; Present is how many of those job
-	// hashes have a row entry on disk right now.
+	// hashes have a row in the logs right now.
 	Jobs    int `json:"jobs"`
 	Present int `json:"present"`
 	// Err reports an unreadable manifest ("" = healthy); ls keeps
@@ -61,8 +63,13 @@ func (d *Dir) PlanInfo(planHash string) PlanInfo {
 	info.Name = m.Name
 	info.Generator = m.Generator
 	info.Jobs = len(m.Jobs)
-	for _, jh := range m.Jobs {
-		if _, err := os.Stat(d.jobPath(jh)); err == nil {
+	have, err := d.present(m.Jobs)
+	if err != nil {
+		info.Err = err.Error()
+		return info
+	}
+	for _, ok := range have {
+		if ok {
 			info.Present++
 		}
 	}
@@ -106,14 +113,15 @@ func (d *Dir) readManifest(planHash string) (*planManifest, error) {
 
 // Issue is one verification failure.
 type Issue struct {
-	// Path is the offending file, relative to the store root.
+	// Path is the offending file, relative to the store root; a record
+	// is named by its log and byte offset, rows/<n>.log@<offset>.
 	Path string `json:"path"`
 	Err  string `json:"error"`
 }
 
 // AuditReport is the outcome of a full store verification.
 type AuditReport struct {
-	// Jobs and Plans count the entries and manifests checked (healthy or
+	// Jobs and Plans count the records and manifests checked (healthy or
 	// not); Issues lists every failure in path order.
 	Jobs   int     `json:"jobs"`
 	Plans  int     `json:"plans"`
@@ -123,49 +131,114 @@ type AuditReport struct {
 // OK reports whether the audit found no issues.
 func (r *AuditReport) OK() bool { return len(r.Issues) == 0 }
 
-// Verify walks every job entry and plan manifest in the store,
-// re-checking integrity checksums, schema versions and filing: an entry
-// must parse, be filed under its own hash in the right prefix
-// directory, carry a readable schema, and its stored checksum must
-// match the row bytes. Stray files (anything that is not a
-// <hash>.json entry, including leftover temp files) are reported too —
-// verify audits archives at rest, not stores mid-write.
+// logLine is one complete, non-blank line of a row log.
+type logLine struct {
+	log  string // file name under rows/
+	off  int64
+	data []byte // the line, newline included
+	k    key
+	ok   bool // false: the line has no readable envelope prefix
+}
+
+func (ln logLine) path() string {
+	return filepath.Join(rowsDirName, ln.log) + "@" + strconv.FormatInt(ln.off, 10)
+}
+
+// rowFiles lists rows/: the logs in numeric order, and every other
+// entry.
+func (d *Dir) rowFiles() (logs, strays []string, err error) {
+	ents, err := os.ReadDir(filepath.Join(d.root, rowsDirName))
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	for _, e := range ents {
+		if _, ok := logNumber(e.Name()); ok && e.Type().IsRegular() {
+			logs = append(logs, e.Name())
+		} else {
+			strays = append(strays, e.Name())
+		}
+	}
+	sortLogNames(logs)
+	return logs, strays, nil
+}
+
+// walkLogs reads the named logs from the start, independently of the
+// handle's index, and calls line for every complete non-blank line and
+// torn for a log whose last line has no newline.
+func (d *Dir) walkLogs(logs []string, line func(logLine) error, torn func(log string, end, size int64) error) error {
+	for _, name := range logs {
+		f, err := os.Open(d.logPath(name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		var ferr error
+		end, size, err := scanLines(f, 0, func(off, n int64, head []byte) {
+			if ferr != nil {
+				return
+			}
+			data := make([]byte, n)
+			if _, err := f.ReadAt(data, off); err != nil {
+				ferr = fmt.Errorf("store: %w", err)
+				return
+			}
+			if isBlank(data) {
+				return
+			}
+			k, ok := envelopeKey(head)
+			ferr = line(logLine{log: name, off: off, data: data, k: k, ok: ok})
+		})
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if ferr != nil {
+			return ferr
+		}
+		if size > end {
+			if err := torn(name, end, size); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Verify reads every row log and plan manifest in the store, re-checking
+// integrity checksums and schema versions: every record must parse,
+// name its hash in its envelope prefix, carry a readable schema, and its
+// stored checksum must match the row bytes. Blanked records are skipped.
+// Lines without an envelope, a torn last line and stray files under
+// rows/ (including leftover temp files) are reported too — verify
+// audits archives at rest, not stores mid-write.
 func (d *Dir) Verify() (*AuditReport, error) {
 	rep := &AuditReport{}
-	jobsRoot := filepath.Join(d.root, "jobs")
-	err := filepath.WalkDir(jobsRoot, func(path string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if de.IsDir() {
-			return nil
-		}
-		rel, rerr := filepath.Rel(d.root, path)
-		if rerr != nil {
-			rel = path
-		}
-		hash, ok := strings.CutSuffix(de.Name(), ".json")
-		if !ok || hash == "" {
-			rep.Issues = append(rep.Issues, Issue{Path: rel, Err: "stray file (not a <hash>.json entry)"})
+	logs, strays, err := d.rowFiles()
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range strays {
+		rep.Issues = append(rep.Issues, Issue{Path: filepath.Join(rowsDirName, s), Err: "stray file (not a <n>.log row log)"})
+	}
+	err = d.walkLogs(logs, func(ln logLine) error {
+		if !ln.ok {
+			rep.Issues = append(rep.Issues, Issue{Path: ln.path(), Err: "unreadable record: no {\"schema\":N,\"hash\":\"<hash>\" envelope"})
 			return nil
 		}
 		rep.Jobs++
-		if want := d.jobPath(hash); path != want {
-			rep.Issues = append(rep.Issues, Issue{Path: rel,
-				Err: fmt.Sprintf("misfiled entry: expected %s", filepath.Join("jobs", filepath.Base(filepath.Dir(want)), hash+".json"))})
-			return nil
+		if _, err := decodeEntry(ln.k.String(), ln.data); err != nil {
+			rep.Issues = append(rep.Issues, Issue{Path: ln.path(), Err: err.Error()})
 		}
-		if _, ok, err := d.Get(hash); err != nil {
-			rep.Issues = append(rep.Issues, Issue{Path: rel, Err: err.Error()})
-		} else if !ok {
-			// Get only misses on ErrNotExist; the walk just saw the file,
-			// so a miss means it vanished mid-audit.
-			rep.Issues = append(rep.Issues, Issue{Path: rel, Err: "entry disappeared during verification"})
-		}
+		return nil
+	}, func(log string, end, size int64) error {
+		rep.Issues = append(rep.Issues, Issue{Path: logLine{log: log, off: end}.path(),
+			Err: fmt.Sprintf("torn last line (%d bytes without a newline): a writer stopped mid-append", size-end)})
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
 	ents, err := os.ReadDir(filepath.Join(d.root, "plans"))
 	if err != nil {

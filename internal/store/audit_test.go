@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,25 +26,9 @@ func buildStore(t *testing.T) (*store.Dir, string) {
 	return d, root
 }
 
-// oneEntry returns the path of one stored job entry.
-func oneEntry(t *testing.T, root string) string {
-	t.Helper()
-	var entry string
-	err := filepath.WalkDir(filepath.Join(root, "jobs"), func(path string, de os.DirEntry, err error) error {
-		if err == nil && !de.IsDir() && entry == "" {
-			entry = path
-		}
-		return err
-	})
-	if err != nil || entry == "" {
-		t.Fatalf("no job entries found: %v", err)
-	}
-	return entry
-}
-
 // TestPlanInfos pins the ls data: the recorded plan manifest reports
 // its identity, job count and full row coverage — and loses coverage
-// when a row entry disappears.
+// when a row's record disappears from its log.
 func TestPlanInfos(t *testing.T) {
 	d, root := buildStore(t)
 	infos, err := d.PlanInfos()
@@ -57,7 +42,9 @@ func TestPlanInfos(t *testing.T) {
 	if p.Generator != "fig7" || p.Jobs != 3 || p.Present != 3 || p.Err != "" {
 		t.Errorf("plan info %+v", p)
 	}
-	if err := os.Remove(oneEntry(t, root)); err != nil {
+	cutRecord(t, logRecords(t, root)[0])
+	d, err = store.OpenDir(root)
+	if err != nil {
 		t.Fatal(err)
 	}
 	infos, err = d.PlanInfos()
@@ -85,20 +72,13 @@ func TestVerifyClean(t *testing.T) {
 // intentionally corrupted row surfaces as a checksum issue.
 func TestVerifyDetectsCorruption(t *testing.T) {
 	d, root := buildStore(t)
-	entry := oneEntry(t, root)
-	data, err := os.ReadFile(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Flip one byte inside the row payload.
-	idx := strings.Index(string(data), `"cycles"`)
+	r := logRecords(t, root)[0]
+	idx := bytes.Index(r.line, []byte(`"cycles"`))
 	if idx < 0 {
-		t.Fatalf("entry has no cycles field: %s", data)
+		t.Fatalf("record has no cycles field: %s", r.line)
 	}
-	data[idx+1] ^= 0x01
-	if err := os.WriteFile(entry, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipInRecord(t, r, idx+1)
 	rep, err := d.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -109,45 +89,44 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	if !strings.Contains(rep.Issues[0].Err, "integrity") {
 		t.Errorf("issue does not name integrity: %+v", rep.Issues[0])
 	}
-	if !strings.HasPrefix(rep.Issues[0].Path, "jobs"+string(os.PathSeparator)) {
+	if !strings.HasPrefix(rep.Issues[0].Path, "rows"+string(os.PathSeparator)) {
 		t.Errorf("issue path is not store-relative: %q", rep.Issues[0].Path)
 	}
 }
 
-// TestVerifyDetectsMisfiledAndStray: an entry copied under the wrong
-// prefix directory and a leftover temp file both surface.
-func TestVerifyDetectsMisfiledAndStray(t *testing.T) {
+// TestVerifyDetectsAlteredHashAndStray: a record whose hash field was
+// altered — so it is indexed under a hash it was not recorded for —
+// fails verification, and a leftover temp file under rows/ surfaces as
+// a stray.
+func TestVerifyDetectsAlteredHashAndStray(t *testing.T) {
 	d, root := buildStore(t)
-	entry := oneEntry(t, root)
-	data, err := os.ReadFile(entry)
-	if err != nil {
-		t.Fatal(err)
+	r := logRecords(t, root)[0]
+	at := bytes.Index(r.line, []byte(`"hash":"`)) + len(`"hash":"`)
+	line := bytes.Clone(r.line)
+	if line[at] == '0' {
+		line[at] = '1'
+	} else {
+		line[at] = '0'
 	}
-	wrong := filepath.Join(root, "jobs", "zz", filepath.Base(entry))
-	if err := os.MkdirAll(filepath.Dir(wrong), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(wrong, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "jobs", ".tmp-leftover"), []byte("x"), 0o644); err != nil {
+	rewriteRecord(t, r, line)
+	if err := os.WriteFile(filepath.Join(root, "rows", ".tmp-leftover"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := d.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var misfiled, stray bool
+	var altered, stray bool
 	for _, is := range rep.Issues {
-		if strings.Contains(is.Err, "misfiled") {
-			misfiled = true
+		if strings.Contains(is.Err, "checksum mismatch") && strings.HasSuffix(is.Path, "@0") {
+			altered = true
 		}
 		if strings.Contains(is.Err, "stray") {
 			stray = true
 		}
 	}
-	if !misfiled || !stray || len(rep.Issues) != 2 {
-		t.Errorf("issues = %+v, want one misfiled + one stray", rep.Issues)
+	if !altered || !stray || len(rep.Issues) != 2 {
+		t.Errorf("issues = %+v, want one checksum mismatch + one stray", rep.Issues)
 	}
 }
 

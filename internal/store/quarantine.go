@@ -10,15 +10,15 @@ import (
 	"strings"
 )
 
-// The quarantine half of self-healing. A store entry that fails
+// The quarantine half of self-healing. A stored record that fails
 // verification is evidence — of a bad disk, a truncated copy, a buggy
-// writer — so it is moved aside rather than deleted: the entry file goes
-// to quarantine/<hash>.json and a quarantine/<hash>.reason file records
-// why. The row itself is reproducible (it is a deterministic function of
-// its job), so the Session that hit the corruption re-simulates the job
-// and records a fresh row, healing the store in place. `rrbus-store gc`
-// lists the quarantined debris and can drop entries whose hash has a
-// healthy row again.
+// writer — so it is set aside rather than deleted: its bytes go to
+// quarantine/<hash>.json, a quarantine/<hash>.reason file records why,
+// and the record is blanked in its log. The row itself is reproducible
+// (it is a deterministic function of its job), so the Session that hit
+// the corruption re-simulates the job and records a fresh row, healing
+// the store in place. `rrbus-store gc` lists the quarantined debris and
+// can drop entries whose hash has a healthy row again.
 
 // Quarantiner is optionally implemented by stores that can set a damaged
 // entry aside instead of serving it. Session uses it to self-heal: a
@@ -31,25 +31,40 @@ type Quarantiner interface {
 	Quarantine(jobHash, reason string) error
 }
 
-// Quarantine implements Quarantiner: the entry file moves to
-// quarantine/<hash>.json and the reason is recorded next to it.
+// Quarantine implements Quarantiner: the record's bytes are copied to
+// quarantine/<hash>.json, the reason is recorded next to them, and the
+// record is blanked in its log.
 func (d *Dir) Quarantine(jobHash, reason string) error {
-	return d.quarantineFile(d.jobPath(jobHash), jobHash, reason)
+	k, ok := keyOf(jobHash)
+	if !ok {
+		return nil // nothing can be stored under it
+	}
+	data, at, found, err := d.record(k)
+	if err != nil {
+		return err
+	}
+	if !found {
+		return d.writeQuarantine(jobHash, nil, reason)
+	}
+	if err := d.writeQuarantine(jobHash, data, reason); err != nil {
+		return err
+	}
+	return d.drop(k, at, data)
 }
 
-// quarantineFile moves an arbitrary entry file (usually the canonical
-// jobs/<hh>/<hash>.json path, but repair also quarantines misfiled
-// entries at their actual location) into quarantine/ under its hash.
-func (d *Dir) quarantineFile(path, jobHash, reason string) error {
+// writeQuarantine records damaged bytes (when there are any) and the
+// reason under quarantine/.
+func (d *Dir) writeQuarantine(name string, data []byte, reason string) error {
 	qdir := filepath.Join(d.root, "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return Transient(err)
 	}
-	dst := filepath.Join(qdir, jobHash+".json")
-	if err := os.Rename(path, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return Transient(err)
+	if data != nil {
+		if err := d.writeAtomic(filepath.Join(qdir, name+".json"), data); err != nil {
+			return err
+		}
 	}
-	return d.writeAtomic(filepath.Join(qdir, jobHash+".reason"), []byte(reason+"\n"))
+	return d.writeAtomic(filepath.Join(qdir, name+".reason"), []byte(reason+"\n"))
 }
 
 // QuarantineInfo describes one quarantined entry for gc listings.
@@ -72,6 +87,9 @@ func (d *Dir) Quarantined() ([]QuarantineInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if err := d.refresh(); err != nil {
+		return nil, err
+	}
 	var infos []QuarantineInfo
 	for _, e := range ents {
 		hash, ok := strings.CutSuffix(e.Name(), ".json")
@@ -82,8 +100,8 @@ func (d *Dir) Quarantined() ([]QuarantineInfo, error) {
 		if b, err := os.ReadFile(filepath.Join(d.root, "quarantine", hash+".reason")); err == nil {
 			info.Reason = strings.TrimSpace(string(b))
 		}
-		if _, err := os.Stat(d.jobPath(hash)); err == nil {
-			info.Healed = true
+		if k, ok := keyOf(hash); ok {
+			info.Healed = d.has(k)
 		}
 		infos = append(infos, info)
 	}

@@ -1,9 +1,9 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,29 +11,9 @@ import (
 	"rrbus/internal/store"
 )
 
-// entryPaths walks jobs/ and returns every entry file path in walk
-// order.
-func entryPaths(t *testing.T, root string) []string {
-	t.Helper()
-	var paths []string
-	err := filepath.WalkDir(filepath.Join(root, "jobs"), func(p string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !de.IsDir() {
-			paths = append(paths, p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return paths
-}
-
 // TestRepairHealsStore is the store-wide acceptance test: a store with a
-// corrupted entry, a deleted entry and a misfiled entry is made whole by
-// one repair pass — damage quarantined, missing rows re-simulated from
+// corrupted record, a deleted record and a record whose hash field was
+// altered is made whole by one repair pass — damage quarantined, missing rows re-simulated from
 // the plan manifests, verify clean, warm re-runs hitting everything.
 func TestRepairHealsStore(t *testing.T) {
 	root := filepath.Join(t.TempDir(), "results")
@@ -44,21 +24,19 @@ func TestRepairHealsStore(t *testing.T) {
 	c := compileFig7(t, 6)
 	_, cleanText, _ := runAll(t, d, c)
 
-	paths := entryPaths(t, root)
-	if len(paths) < 3 {
-		t.Fatalf("need 3 entries to damage, have %d", len(paths))
+	recs := logRecords(t, root)
+	if len(recs) < 3 {
+		t.Fatalf("need 3 records to damage, have %d", len(recs))
 	}
-	corrupt(t, root) // bit-flips the first entry in walk order
-	if err := os.Remove(paths[1]); err != nil {
-		t.Fatal(err)
-	}
-	misfiled := filepath.Join(root, "jobs", "zz", filepath.Base(paths[2]))
-	if err := os.MkdirAll(filepath.Dir(misfiled), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(paths[2], misfiled); err != nil {
-		t.Fatal(err)
-	}
+	// Alter the third record's hash field (it now claims a hash it was
+	// not recorded for), bit-flip the first record's row, and delete the
+	// second record's line, moving every record after it.
+	at := bytes.Index(recs[2].line, []byte(`"hash":"`)) + len(`"hash":"`)
+	altered := bytes.Clone(recs[2].line)
+	altered[at] ^= 0x01
+	rewriteRecord(t, recs[2], altered)
+	corrupt(t, root)
+	cutRecord(t, recs[1])
 
 	rep, err := d.Repair(context.Background(), 0)
 	if err != nil {
@@ -68,13 +46,13 @@ func TestRepairHealsStore(t *testing.T) {
 		t.Fatalf("repair left issues: %+v unrepairable=%v", rep.Issues, rep.Unrepairable)
 	}
 	if rep.Quarantined != 2 {
-		t.Errorf("quarantined %d entries, want 2 (corrupt + misfiled)", rep.Quarantined)
+		t.Errorf("quarantined %d records, want 2 (corrupt + altered hash)", rep.Quarantined)
 	}
 	if rep.PlansReplayed != 1 {
 		t.Errorf("replayed %d plans, want 1", rep.PlansReplayed)
 	}
 	if rep.Resimulated != 3 {
-		t.Errorf("re-simulated %d rows, want 3 (corrupt + deleted + misfiled)", rep.Resimulated)
+		t.Errorf("re-simulated %d rows, want 3 (corrupt + deleted + altered hash)", rep.Resimulated)
 	}
 
 	audit, err := d.Verify()
@@ -94,8 +72,9 @@ func TestRepairHealsStore(t *testing.T) {
 		t.Error("post-repair render differs from the clean run")
 	}
 
-	// gc bookkeeping: both quarantined entries are listed, healed, and
-	// removable.
+	// gc bookkeeping: both quarantined records are listed with a reason
+	// and removable. The bit-flipped row's hash is healed; the altered
+	// record is filed under the hash it claims, which no job has.
 	qs, err := d.Quarantined()
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +82,10 @@ func TestRepairHealsStore(t *testing.T) {
 	if len(qs) != 2 {
 		t.Fatalf("quarantine lists %d entries, want 2: %+v", len(qs), qs)
 	}
+	healed := 0
 	for _, q := range qs {
-		if !q.Healed {
-			t.Errorf("quarantined %s not marked healed after repair", q.Hash)
+		if q.Healed {
+			healed++
 		}
 		if q.Reason == "" {
 			t.Errorf("quarantined %s has no recorded reason", q.Hash)
@@ -113,6 +93,9 @@ func TestRepairHealsStore(t *testing.T) {
 		if err := d.RemoveQuarantined(q.Hash); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if healed != 1 {
+		t.Errorf("%d quarantined records marked healed after repair, want 1: %+v", healed, qs)
 	}
 	if qs, _ = d.Quarantined(); len(qs) != 0 {
 		t.Errorf("quarantine not empty after gc: %+v", qs)
@@ -152,10 +135,7 @@ func TestRepairUnrepairableWithoutSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lost := entryPaths(t, root)[0]
-	if err := os.Remove(lost); err != nil {
-		t.Fatal(err)
-	}
+	cutRecord(t, logRecords(t, root)[0])
 
 	rep, err := d.Repair(context.Background(), 0)
 	if err != nil {

@@ -190,8 +190,8 @@ func TestOpenDirSweepsStaleTmp(t *testing.T) {
 	c := compileFig7(t, 2)
 	runAll(t, d, c)
 
-	stale := filepath.Join(root, "jobs", ".tmp-stale123")
-	fresh := filepath.Join(root, "jobs", ".tmp-fresh456")
+	stale := filepath.Join(root, "rows", ".tmp-stale123")
+	fresh := filepath.Join(root, "rows", ".tmp-fresh456")
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("half-written"), 0o644); err != nil {
 			t.Fatal(err)

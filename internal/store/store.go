@@ -11,10 +11,11 @@
 // simulates only the delta while rendering byte-identical output.
 //
 // Two implementations ship: Mem (per-process, for pipelines and tests)
-// and Dir (a directory of integrity-checked entry files, shareable
-// across runs and machines). Both are content-addressed: a stored row's
-// ID is cleared on Put — labeling belongs to the plan replaying the row,
-// not to the measurement — and callers relabel on Get.
+// and Dir (a directory of append-only row logs of integrity-checked
+// records, shareable across runs, processes and machines; see Dir for
+// the layout). Both are content-addressed: a stored row's ID is cleared
+// on Put — labeling belongs to the plan replaying the row, not to the
+// measurement — and callers relabel on Get.
 package store
 
 import (
@@ -22,12 +23,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -128,10 +129,11 @@ func (m *Mem) JobHashes() ([]string, error) {
 	return out, nil
 }
 
-// entry is the on-disk envelope of one stored row: the row bytes plus
-// enough redundancy to verify them on read. Sum covers the job hash and
-// the row bytes together, so a bit flip anywhere — the row, the sum, the
-// hash, or an entry filed under the wrong name — fails verification.
+// entry is the on-disk envelope of one stored row — one line of a row
+// log: the row bytes plus enough redundancy to verify them on read. Sum
+// covers the job hash and the row bytes together, so a bit flip anywhere
+// — the row, the sum, or the hash the record is indexed under — fails
+// verification.
 type entry struct {
 	Schema int             `json:"schema"`
 	Hash   string          `json:"hash"`
@@ -166,16 +168,42 @@ func sumOf(jobHash string, row []byte) string {
 
 // Dir is a directory-backed Store:
 //
-//	<root>/jobs/<hh>/<hash>.json     one integrity-checked entry per row
+//	<root>/rows/<n>.log              append-only row logs, one record a line
 //	<root>/plans/<hash>.json         one manifest per recorded plan
-//	<root>/quarantine/<hash>.json    entries set aside by self-healing
+//	<root>/quarantine/<hash>.json    records set aside by self-healing
 //	<root>/quarantine/<hash>.reason  why each was quarantined
 //
-// Entries are written atomically (temp file + rename), so concurrent
-// sessions — even separate processes sharding one sweep — can share a
-// root; at worst two writers race to create the identical entry.
+// A record is the entry envelope {"schema","hash","sum","result"} on one
+// line. A Put appends one record to the log its handle holds the lock
+// of; the number of logs grows with the number of concurrent writers,
+// not with the number of rows. A Get looks the hash up in an in-memory
+// index and reads the record with one pread. Rows another handle or
+// process appended become visible at this handle's next miss, which
+// rescans only the bytes appended since its last scan. RemoveJob and
+// Quarantine blank a record in place, so no offset moves under a live
+// reader; Compact and Reclaim give the space back by rewriting logs.
+// Concurrent sessions — even separate processes sharding one sweep — can
+// share a root; at worst two writers race to append the identical row.
+//
+// A handle holds open files and, once it has written, its log's lock
+// until Close. Opening a root in the earlier layout, one file per row at
+// jobs/<hh>/<hash>.json, imports it once: valid entries are appended to
+// a log, corrupt or misfiled ones are quarantined.
 type Dir struct {
 	root string
+
+	// mu guards the index and the handle's view of the logs.
+	mu      sync.RWMutex
+	logs    []*rowLog
+	byName  map[string]int
+	idx     index
+	dups    map[key][]loc // older copies of indexed hashes
+	retired []*os.File    // replaced descriptors; in-flight reads may use them until Close
+
+	// wmu serializes appends; w is the index of this handle's log in
+	// logs, -1 until the first Put.
+	wmu sync.Mutex
+	w   int
 }
 
 // staleTmpAge is how old a leftover writeAtomic temp file must be before
@@ -187,23 +215,28 @@ const staleTmpAge = 10 * time.Minute
 
 // OpenDir opens (creating if needed) a directory store rooted at root,
 // sweeping any stale temp files a crashed writer left behind (see
-// staleTmpAge) so `verify` stays clean after an unclean shutdown.
+// staleTmpAge) so `verify` stays clean after an unclean shutdown, and
+// importing a store written in the earlier one-file-per-row layout.
 func OpenDir(root string) (*Dir, error) {
-	for _, sub := range []string{"jobs", "plans"} {
+	for _, sub := range []string{rowsDirName, "plans"} {
 		if err := os.MkdirAll(filepath.Join(root, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	d := &Dir{root: root}
+	d := &Dir{root: root, byName: map[string]int{}, w: -1}
 	if err := d.sweepStaleTmp(); err != nil {
+		return nil, err
+	}
+	if err := d.importLegacy(); err != nil {
+		d.Close()
 		return nil, err
 	}
 	return d, nil
 }
 
 // sweepStaleTmp removes `.tmp-*` files older than staleTmpAge anywhere
-// under the store root — the debris of a writeAtomic interrupted between
-// CreateTemp and Rename.
+// under the store root — the debris of a writeAtomic or a log rewrite
+// interrupted before its rename.
 func (d *Dir) sweepStaleTmp() error {
 	cutoff := time.Now().Add(-staleTmpAge)
 	return filepath.WalkDir(d.root, func(path string, de fs.DirEntry, err error) error {
@@ -228,81 +261,100 @@ func (d *Dir) sweepStaleTmp() error {
 // Root returns the store's directory.
 func (d *Dir) Root() string { return d.root }
 
-func (d *Dir) jobPath(jobHash string) string {
-	prefix := jobHash
-	if len(prefix) > 2 {
-		prefix = prefix[:2]
-	}
-	return filepath.Join(d.root, "jobs", prefix, jobHash+".json")
-}
-
-// Get implements Store, verifying the entry's integrity before trusting
-// it: the envelope must parse, carry a readable schema, be filed under
-// its own hash, and its checksum must match the stored row bytes.
-// Verification failures are CorruptErrors (quarantinable, re-derivable);
-// I/O failures are TransientErrors (retryable); schema-from-the-future
-// is neither — see the taxonomy in errors.go.
-func (d *Dir) Get(jobHash string) (scenario.Result, bool, error) {
-	var zero scenario.Result
-	data, err := os.ReadFile(d.jobPath(jobHash))
-	if errors.Is(err, fs.ErrNotExist) {
-		return zero, false, nil
-	}
-	if err != nil {
-		return zero, false, Transient(err)
-	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry does not parse: %v", err)}
-	}
-	if e.Schema > scenario.ResultSchema {
-		return zero, false, fmt.Errorf("store: %s: entry schema %d but this build reads <= %d — store written by a newer version?",
-			jobHash, e.Schema, scenario.ResultSchema)
-	}
-	if e.Hash != jobHash {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry claims hash %s", e.Hash)}
-	}
-	if got := sumOf(jobHash, e.Result); got != e.Sum {
-		return zero, false, &CorruptError{Hash: jobHash,
-			Reason: fmt.Sprintf("checksum mismatch (stored %s, computed %s) — corrupted entry", e.Sum, got)}
-	}
-	var r scenario.Result
-	if err := json.Unmarshal(e.Result, &r); err != nil {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
-	}
-	if r.Schema > scenario.ResultSchema {
-		return zero, false, fmt.Errorf("store: %s: row schema %d but this build reads <= %d", jobHash, r.Schema, scenario.ResultSchema)
-	}
-	return r, true, nil
-}
-
-// Put implements Store.
-func (d *Dir) Put(jobHash string, r scenario.Result) error {
-	data, err := marshalEntry(jobHash, r)
-	if err != nil {
-		return err
-	}
-	return d.writeAtomic(d.jobPath(jobHash), data)
-}
-
-// marshalEntry builds the exact on-disk entry bytes Put writes for a row
-// (envelope, checksum, trailing newline).
+// marshalEntry builds the exact record bytes Put appends for a row:
+// the envelope json.Marshal(entry) produces (the row bytes are already
+// compact and HTML-escaped, so Marshal would copy them verbatim) and a
+// trailing newline.
 func marshalEntry(jobHash string, r scenario.Result) ([]byte, error) {
 	row, err := json.Marshal(normalize(r))
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal row %s: %w", jobHash, err)
 	}
-	e := entry{
-		Schema: scenario.ResultSchema,
-		Hash:   jobHash,
-		Sum:    sumOf(jobHash, row),
-		Result: row,
+	sum := sumOf(jobHash, row)
+	b := make([]byte, 0, len(row)+len(jobHash)+len(sum)+48)
+	b = append(b, `{"schema":`...)
+	b = strconv.AppendInt(b, int64(scenario.ResultSchema), 10)
+	b = append(b, `,"hash":"`...)
+	b = append(b, jobHash...)
+	b = append(b, `","sum":"`...)
+	b = append(b, sum...)
+	b = append(b, `","result":`...)
+	b = append(b, row...)
+	return append(b, "}\n"...), nil
+}
+
+// splitEnvelope cuts a record in marshalEntry's exact layout into its
+// schema, checksum and row bytes, without decoding the row.
+func splitEnvelope(jobHash string, data []byte) (schema int, sum, row []byte, ok bool) {
+	b := bytes.TrimSuffix(data, []byte{'\n'})
+	b, ok = bytes.CutPrefix(b, []byte(`{"schema":`))
+	if !ok {
+		return 0, nil, nil, false
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal entry %s: %w", jobHash, err)
+	i := 0
+	for i < len(b) && i < 9 && '0' <= b[i] && b[i] <= '9' {
+		schema = schema*10 + int(b[i]-'0')
+		i++
 	}
-	return append(data, '\n'), nil
+	if i == 0 || (i > 1 && b[0] == '0') {
+		return 0, nil, nil, false
+	}
+	b = b[i:]
+	for _, part := range []string{`,"hash":"`, jobHash, `","sum":"`} {
+		if b, ok = bytes.CutPrefix(b, []byte(part)); !ok {
+			return 0, nil, nil, false
+		}
+	}
+	if len(b) < 64 {
+		return 0, nil, nil, false
+	}
+	sum, b = b[:64], b[64:]
+	if b, ok = bytes.CutPrefix(b, []byte(`","result":`)); !ok || len(b) == 0 || b[len(b)-1] != '}' {
+		return 0, nil, nil, false
+	}
+	return schema, sum, b[:len(b)-1], true
+}
+
+// decodeEntry verifies one stored record and decodes its row: the
+// envelope must parse, carry a readable schema, name jobHash, and its
+// checksum must match the row bytes. A record in marshalEntry's layout
+// whose checksum matches is decoded without a second pass over the
+// envelope; anything else takes the general path, which also words the
+// errors.
+func decodeEntry(jobHash string, data []byte) (scenario.Result, error) {
+	var r scenario.Result
+	if schema, sum, row, ok := splitEnvelope(jobHash, data); ok && schema <= scenario.ResultSchema && sumOf(jobHash, row) == string(sum) {
+		if err := json.Unmarshal(row, &r); err != nil {
+			return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
+		}
+		return r, checkRowSchema(jobHash, r)
+	}
+	var e entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry does not parse: %v", err)}
+	}
+	if e.Schema > scenario.ResultSchema {
+		return r, fmt.Errorf("store: %s: entry schema %d but this build reads <= %d — store written by a newer version?",
+			jobHash, e.Schema, scenario.ResultSchema)
+	}
+	if e.Hash != jobHash {
+		return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry claims hash %s", e.Hash)}
+	}
+	if got := sumOf(jobHash, e.Result); got != e.Sum {
+		return r, &CorruptError{Hash: jobHash,
+			Reason: fmt.Sprintf("checksum mismatch (stored %s, computed %s) — corrupted entry", e.Sum, got)}
+	}
+	if err := json.Unmarshal(e.Result, &r); err != nil {
+		return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
+	}
+	return r, checkRowSchema(jobHash, r)
+}
+
+func checkRowSchema(jobHash string, r scenario.Result) error {
+	if r.Schema > scenario.ResultSchema {
+		return fmt.Errorf("store: %s: row schema %d but this build reads <= %d", jobHash, r.Schema, scenario.ResultSchema)
+	}
+	return nil
 }
 
 // PutPlan implements PlanRecorder. The manifest records the plan's
@@ -345,59 +397,6 @@ func (d *Dir) Plans() ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// Len reports the number of stored rows (a directory walk; diagnostics
-// and tests, not hot paths).
-func (d *Dir) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(filepath.Join(d.root, "jobs"), func(_ string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !de.IsDir() {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	return n, nil
-}
-
-// JobHashes lists every stored row hash in lexical order (a directory
-// walk) — the store's side of a push/pull delta diff and the scan gc and
-// compact iterate.
-func (d *Dir) JobHashes() ([]string, error) {
-	var out []string
-	err := filepath.WalkDir(filepath.Join(d.root, "jobs"), func(_ string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if de.IsDir() {
-			return nil
-		}
-		if h, ok := strings.CutSuffix(de.Name(), ".json"); ok && h != "" {
-			out = append(out, h)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// RemoveJob drops one stored row entry. Removing an absent entry is not
-// an error (gc races with concurrent writers by design — at worst two
-// collectors race to remove the same file).
-func (d *Dir) RemoveJob(jobHash string) error {
-	if err := os.Remove(d.jobPath(jobHash)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
 }
 
 // writeAtomic writes data to path via a temp file in the same directory

@@ -169,36 +169,17 @@ func TestSessionRelabelsStoredRows(t *testing.T) {
 	}
 }
 
-// corrupt flips one bit inside the stored row bytes of some entry under
-// the store root and returns the path it damaged.
-func corrupt(t *testing.T, root string) string {
+// corrupt flips one bit inside the row bytes of the first record in the
+// store's logs, in place, and returns the record as it was.
+func corrupt(t *testing.T, root string) logRecord {
 	t.Helper()
-	var target string
-	err := filepath.WalkDir(filepath.Join(root, "jobs"), func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && target == "" {
-			target = p
-		}
-		return nil
-	})
-	if err != nil || target == "" {
-		t.Fatalf("no entry to corrupt (err=%v)", err)
-	}
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(data, []byte(`"cycles"`))
+	r := logRecords(t, root)[0]
+	i := bytes.Index(r.line, []byte(`"cycles"`))
 	if i < 0 {
-		t.Fatal("entry has no cycles field")
+		t.Fatal("record has no cycles field")
 	}
-	data[i+9] ^= 0x01 // flip a bit inside the recorded value
-	if err := os.WriteFile(target, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return target
+	flipInRecord(t, r, i+9) // a bit inside the recorded value
+	return r
 }
 
 // TestCorruptionHeals checks both halves of the integrity contract. At
@@ -303,25 +284,13 @@ func TestDirStoreSchemaReject(t *testing.T) {
 	c := compileFig7(t, 2)
 	runAll(t, d, c)
 
-	// Rewrite one entry claiming a future schema.
-	var target string
-	filepath.WalkDir(filepath.Join(root, "jobs"), func(p string, de os.DirEntry, err error) error {
-		if err == nil && !de.IsDir() && target == "" {
-			target = p
-		}
-		return nil
-	})
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
+	// Rewrite one record in place claiming a future schema.
+	r := logRecords(t, root)[0]
+	newer := bytes.Replace(r.line, []byte(`{"schema":1,`), []byte(`{"schema":9,`), 1)
+	if bytes.Equal(newer, r.line) {
+		t.Fatal("record schema field not found")
 	}
-	newer := bytes.Replace(data, []byte(`{"schema":1,`), []byte(`{"schema":99,`), 1)
-	if bytes.Equal(newer, data) {
-		t.Fatal("entry schema field not found")
-	}
-	if err := os.WriteFile(target, newer, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteRecord(t, r, newer)
 
 	found := false
 	for _, h := range c.JobHashes() {

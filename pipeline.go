@@ -10,7 +10,8 @@ package rrbus
 //	          already has a recorded row from the Store instead of
 //	          simulating them, and recording fresh rows as they stream;
 //	Store   — the content-addressed results store (in-memory or a
-//	          shareable directory with integrity-verified entries);
+//	          shareable directory of row logs with integrity-verified
+//	          records);
 //	Render  — the pure analysis stage: every figure, table and derived
 //	          bound of the paper rebuilt from (Plan, []Result) alone.
 //
@@ -154,7 +155,8 @@ func NewMemStore() *MemStore { return store.NewMem() }
 
 // OpenDirStore opens (creating if needed) a directory-backed results
 // store. The directory can be shared across runs, processes and
-// machines; entries are integrity-checked on read.
+// machines; records are integrity-checked on read. A store in the
+// earlier one-file-per-row layout is imported on the first open.
 func OpenDirStore(dir string) (*DirStore, error) { return store.OpenDir(dir) }
 
 // ParseShard parses the CLIs' "i/N" shard syntax ("" = all jobs).
