@@ -265,7 +265,9 @@
 // per-plan manifests under plans/. Readers find rows through an
 // in-memory index and read each with one pread; rows another process
 // appended become visible at a handle's next miss, which rescans only
-// the bytes appended since its last scan. Removal and quarantine blank
+// the bytes appended since its last scan, and listings (row counts, the
+// hash list push/pull diffs, plan coverage) re-read every log, so they
+// also see rows another process removed. Removal and quarantine blank
 // a record in place, so offsets never move under a live reader;
 // `rrbus-store compact` and `gc -rm` give the space back by rewriting
 // logs. A store in the earlier one-file-per-row layout

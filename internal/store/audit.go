@@ -43,9 +43,12 @@ func (d *Dir) PlanInfos() ([]PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := d.resync(); err != nil {
+		return nil, err
+	}
 	infos := make([]PlanInfo, 0, len(hashes))
 	for _, h := range hashes {
-		infos = append(infos, d.PlanInfo(h))
+		infos = append(infos, d.planInfo(h))
 	}
 	return infos, nil
 }
@@ -54,6 +57,14 @@ func (d *Dir) PlanInfos() ([]PlanInfo, error) {
 // missing manifest is reported in the Err field, not as an error return,
 // matching how PlanInfos keeps listing a store around damage.
 func (d *Dir) PlanInfo(planHash string) PlanInfo {
+	if err := d.resync(); err != nil {
+		return PlanInfo{Hash: planHash, Err: err.Error()}
+	}
+	return d.planInfo(planHash)
+}
+
+// planInfo is PlanInfo over the index as the last resync left it.
+func (d *Dir) planInfo(planHash string) PlanInfo {
 	info := PlanInfo{Hash: planHash}
 	m, err := d.readManifest(planHash)
 	if err != nil {
@@ -63,12 +74,7 @@ func (d *Dir) PlanInfo(planHash string) PlanInfo {
 	info.Name = m.Name
 	info.Generator = m.Generator
 	info.Jobs = len(m.Jobs)
-	have, err := d.present(m.Jobs)
-	if err != nil {
-		info.Err = err.Error()
-		return info
-	}
-	for _, ok := range have {
+	for _, ok := range d.present(m.Jobs) {
 		if ok {
 			info.Present++
 		}

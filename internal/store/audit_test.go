@@ -43,16 +43,53 @@ func TestPlanInfos(t *testing.T) {
 		t.Errorf("plan info %+v", p)
 	}
 	cutRecord(t, logRecords(t, root)[0])
-	d, err = store.OpenDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	infos, err = d.PlanInfos()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if infos[0].Present != 2 {
 		t.Errorf("coverage after removal: present = %d, want 2", infos[0].Present)
+	}
+}
+
+// TestListingsSeeRemovalsByAnotherHandle: a long-lived handle's
+// listings drop a row another handle removed or quarantined, although
+// the long-lived handle never reads that row — what rrbus-serve's
+// /v1/store/hashes must report for push/pull to move the exact delta.
+func TestListingsSeeRemovalsByAnotherHandle(t *testing.T) {
+	d, root := buildStore(t)
+	hashes, err := d.JobHashes()
+	if err != nil || len(hashes) != 3 {
+		t.Fatalf("hashes = %v, %v", hashes, err)
+	}
+	other, err := store.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.RemoveJob(hashes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Quarantine(hashes[1], "test"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.JobHashes()
+	if err != nil || len(got) != 1 || got[0] != hashes[2] {
+		t.Errorf("JobHashes after removal = %v, %v; want [%s]", got, err, hashes[2])
+	}
+	if n, err := d.Len(); err != nil || n != 1 {
+		t.Errorf("Len after removal = %d, %v; want 1", n, err)
+	}
+	infos, err := d.PlanInfos()
+	if err != nil || len(infos) != 1 || infos[0].Present != 1 {
+		t.Errorf("PlanInfos after removal = %+v, %v; want present 1", infos, err)
+	}
+	qs, err := d.Quarantined()
+	if err != nil || len(qs) != 1 || qs[0].Hash != hashes[1] || qs[0].Healed {
+		t.Errorf("Quarantined = %+v, %v; want %s unhealed", qs, err, hashes[1])
+	}
+	if _, ok, err := d.Get(hashes[0]); ok || err != nil {
+		t.Errorf("Get of a removed row = %v, %v; want a miss", ok, err)
 	}
 }
 

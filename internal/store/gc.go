@@ -98,14 +98,17 @@ func (d *Dir) Compact(dryRun bool) (*CompactReport, error) {
 			continue
 		}
 		k, _ := keyOf(h)
-		at, _, _ := d.lookup(k)
+		d.mu.RLock()
+		at, _ := d.idx.get(k)
+		stored := int64(at.n)
+		d.mu.RUnlock()
 		rep.TraceEvents += len(r.Trace)
 		r.Trace = nil
 		row, err := marshalEntry(h, r)
 		if err != nil {
 			return rep, err
 		}
-		rep.BytesSaved += int64(at.n) - int64(len(row))
+		rep.BytesSaved += stored - int64(len(row))
 		rep.Compacted++
 	}
 	if dryRun {
@@ -294,7 +297,7 @@ func (d *Dir) rewriteLogLocked(li int, lf *os.File, edit func(key, []byte) ([]by
 		f.Close()
 		return 0, Transient(err)
 	}
-	d.retired = append(d.retired, l.f)
+	l.f.Close() // no read is using it: reads hold d.mu
 	l.f, l.fi = f, fi
 	d.dropLogLocked(li)
 	for _, p := range kept {

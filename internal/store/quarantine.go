@@ -87,7 +87,7 @@ func (d *Dir) Quarantined() ([]QuarantineInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := d.refresh(); err != nil {
+	if err := d.resync(); err != nil {
 		return nil, err
 	}
 	var infos []QuarantineInfo

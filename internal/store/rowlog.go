@@ -25,7 +25,10 @@ import (
 // writers ever append to the same file and a Put costs one write(2), not
 // an inode. Readers find rows through an in-memory index (hash → log,
 // offset, length) built by scanning the logs through fixed-size
-// buffers, and read a row with one pread(2).
+// buffers, and read a row with one pread(2). A miss rescans only the
+// bytes appended since the last scan; the listings rebuild the index
+// from every log's start (see resync), because only a full read sees a
+// record another handle blanked.
 //
 // Offsets never move under a live reader: removal and quarantine blank a
 // record in place (spaces of the same length, ending in a newline), and
@@ -249,6 +252,23 @@ func (d *Dir) refresh() error {
 	return err
 }
 
+// resync rebuilds the index from every log, each read from its start.
+// A refresh reads only appended bytes, so it cannot see a record another
+// handle or process blanked (RemoveJob, Quarantine, repair, gc) or a
+// line edited out of a log; the listings — Len, JobHashes, PlanInfo,
+// Quarantined — resync first, so they report what the logs hold now.
+func (d *Dir) resync() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.idx = index{}
+	d.dups = nil
+	for _, l := range d.logs {
+		l.end = 0
+	}
+	_, err := d.refreshLocked()
+	return err
+}
+
 // refreshLocked is refresh; it returns the log names it found.
 func (d *Dir) refreshLocked() ([]string, error) {
 	names, err := d.listLogs()
@@ -308,7 +328,7 @@ func (d *Dir) reopenIfReplacedLocked(li int) error {
 		f.Close()
 		return Transient(err)
 	}
-	d.retired = append(d.retired, l.f)
+	l.f.Close() // no read is using it: reads hold d.mu
 	l.f, l.fi = f, fi
 	d.dropLogLocked(li)
 	return nil
@@ -386,23 +406,29 @@ func (d *Dir) forgetLocked(k key, at loc) {
 	}
 }
 
-// lookup returns where k's record is and the file to read it from.
-func (d *Dir) lookup(k key) (loc, *os.File, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	at, ok := d.idx.get(k)
-	if !ok {
-		return loc{}, nil, false
-	}
-	return at, d.logs[at.log].f, true
-}
-
 // has reports whether k is indexed, without a refresh.
 func (d *Dir) has(k key) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	_, ok := d.idx.get(k)
 	return ok
+}
+
+// read looks k up and reads the bytes where its record should be. It
+// holds d.mu across the pread, so a descriptor is never closed under a
+// read.
+func (d *Dir) read(k key) (data []byte, at loc, ok bool, err error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if at, ok = d.idx.get(k); !ok {
+		return nil, loc{}, false, nil
+	}
+	data = make([]byte, at.n)
+	n, err := d.logs[at.log].f.ReadAt(data, at.off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, loc{}, false, Transient(err)
+	}
+	return data[:n], at, true, nil
 }
 
 // record returns the bytes of k's record and where they are. A miss
@@ -412,7 +438,10 @@ func (d *Dir) has(k key) bool {
 func (d *Dir) record(k key) ([]byte, loc, bool, error) {
 	refreshed := false
 	for tries := 0; tries < 8; tries++ {
-		at, f, ok := d.lookup(k)
+		data, at, ok, err := d.read(k)
+		if err != nil {
+			return nil, loc{}, false, err
+		}
 		if !ok {
 			if refreshed {
 				return nil, loc{}, false, nil
@@ -423,17 +452,12 @@ func (d *Dir) record(k key) ([]byte, loc, bool, error) {
 			refreshed = true
 			continue
 		}
-		data := make([]byte, at.n)
-		n, err := f.ReadAt(data, at.off)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return nil, loc{}, false, Transient(err)
-		}
-		if n == len(data) && isRecordOf(data, k) {
+		if len(data) == int(at.n) && isRecordOf(data, k) {
 			return data, at, true, nil
 		}
 		d.mu.Lock()
 		d.forgetLocked(k, at)
-		if !isBlank(data[:n]) {
+		if !isBlank(data) {
 			// Not the record and not a blank: the log's bytes moved
 			// (edited or truncated in place). Index it afresh.
 			d.dropLogLocked(int(at.log))
@@ -609,7 +633,7 @@ func (d *Dir) adoptLocked(name string, f *os.File) error {
 	}
 	l := d.logs[li]
 	if l.f != nil {
-		d.retired = append(d.retired, l.f)
+		l.f.Close() // no read is using it: reads hold d.mu
 	}
 	if l.fi == nil || !os.SameFile(l.fi, fi) {
 		d.dropLogLocked(li)
@@ -672,10 +696,7 @@ func (d *Dir) Close() error {
 	for _, l := range d.logs {
 		keep(l.f.Close())
 	}
-	for _, f := range d.retired {
-		keep(f.Close())
-	}
-	d.logs, d.retired, d.dups = nil, nil, nil
+	d.logs, d.dups = nil, nil
 	d.byName = map[string]int{}
 	d.idx = index{}
 	d.w = -1
@@ -741,9 +762,9 @@ func (d *Dir) RemoveJob(jobHash string) error {
 }
 
 // Len reports the number of distinct row hashes the logs hold, after a
-// rescan.
+// resync.
 func (d *Dir) Len() (int, error) {
-	if err := d.refresh(); err != nil {
+	if err := d.resync(); err != nil {
 		return 0, err
 	}
 	d.mu.RLock()
@@ -751,11 +772,11 @@ func (d *Dir) Len() (int, error) {
 	return d.idx.len(), nil
 }
 
-// JobHashes lists every stored row hash in lexical order, after a rescan
+// JobHashes lists every stored row hash in lexical order, after a resync
 // — the store's side of a push/pull delta diff and the list gc and
 // compact iterate.
 func (d *Dir) JobHashes() ([]string, error) {
-	if err := d.refresh(); err != nil {
+	if err := d.resync(); err != nil {
 		return nil, err
 	}
 	d.mu.RLock()
@@ -766,17 +787,14 @@ func (d *Dir) JobHashes() ([]string, error) {
 	return out, nil
 }
 
-// present reports whether a row is stored under each of hashes — one
-// rescan, then index lookups.
-func (d *Dir) present(hashes []string) ([]bool, error) {
-	if err := d.refresh(); err != nil {
-		return nil, err
-	}
+// present reports whether a row is stored under each of hashes, as of
+// the last resync.
+func (d *Dir) present(hashes []string) []bool {
 	out := make([]bool, len(hashes))
 	for i, h := range hashes {
 		if k, ok := keyOf(h); ok {
 			out[i] = d.has(k)
 		}
 	}
-	return out, nil
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -278,29 +277,6 @@ func TestTornTailIsCutByTheNextWriter(t *testing.T) {
 	}
 }
 
-// TestMarshalEntryMatchesEnvelope: the hand-built record is byte for
-// byte the envelope json.Marshal produces, HTML escaping included, and
-// decodes back to the row.
-func TestMarshalEntryMatchesEnvelope(t *testing.T) {
-	r := testRow(5)
-	r.Platform = `<ref & "var">`
-	h := testHash(5)
-	got, err := marshalEntry(h, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, _ := json.Marshal(normalize(r))
-	want, _ := json.Marshal(entry{Schema: scenario.ResultSchema, Hash: h, Sum: sumOf(h, row), Result: row})
-	want = append(want, '\n')
-	if !bytes.Equal(got, want) {
-		t.Fatalf("record\n%s\nenvelope\n%s", got, want)
-	}
-	back, err := decodeEntry(h, got)
-	if err != nil || !reflect.DeepEqual(back, normalize(r)) {
-		t.Fatalf("decode = %+v, %v", back, err)
-	}
-}
-
 // TestCompactAndReclaimRewriteLogs: both give back the space of blanked
 // records, keep every live row readable through the same handle and a
 // fresh one, and Compact refuses a log a live writer holds.
@@ -344,6 +320,42 @@ func TestCompactAndReclaimRewriteLogs(t *testing.T) {
 	}
 	if rep, err := d.Verify(); err != nil || !rep.OK() || rep.Jobs != 9 {
 		t.Fatalf("verify after rewrite = %+v, %v", rep, err)
+	}
+}
+
+// TestRewritesDoNotAccumulateDescriptors: a long-lived reader whose log
+// another handle keeps rewriting holds one descriptor per log, not one
+// per rewrite it has seen.
+func TestRewritesDoNotAccumulateDescriptors(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd:", err)
+		}
+		return len(ents)
+	}
+	root := t.TempDir()
+	w := openTest(t, root)
+	fillTest(t, w, 0, 30)
+	w.Close()
+	reader, gc := openTest(t, root), openTest(t, root)
+	if _, ok, err := reader.Get(testHash(0)); !ok || err != nil {
+		t.Fatalf("get: %v %v", ok, err)
+	}
+	before := fds()
+	for i := 1; i < 30; i++ {
+		if err := gc.RemoveJob(testHash(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gc.Reclaim(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := reader.Len(); err != nil || n != 30-i {
+			t.Fatalf("reader Len after %d removals = %d, %v", i, n, err)
+		}
+	}
+	if after := fds(); after > before+2 {
+		t.Errorf("open descriptors grew from %d to %d over 29 rewrites", before, after)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -179,7 +178,9 @@ func sumOf(jobHash string, row []byte) string {
 // not with the number of rows. A Get looks the hash up in an in-memory
 // index and reads the record with one pread. Rows another handle or
 // process appended become visible at this handle's next miss, which
-// rescans only the bytes appended since its last scan. RemoveJob and
+// rescans only the bytes appended since its last scan; the listings
+// (Len, JobHashes, PlanInfo, Quarantined) rebuild the index from every
+// log first, so they also see rows other handles removed. RemoveJob and
 // Quarantine blank a record in place, so no offset moves under a live
 // reader; Compact and Reclaim give the space back by rewriting logs.
 // Concurrent sessions — even separate processes sharding one sweep — can
@@ -192,13 +193,14 @@ func sumOf(jobHash string, row []byte) string {
 type Dir struct {
 	root string
 
-	// mu guards the index and the handle's view of the logs.
-	mu      sync.RWMutex
-	logs    []*rowLog
-	byName  map[string]int
-	idx     index
-	dups    map[key][]loc // older copies of indexed hashes
-	retired []*os.File    // replaced descriptors; in-flight reads may use them until Close
+	// mu guards the index and the handle's view of the logs; reads hold
+	// it across their pread, so a replaced descriptor can be closed at
+	// once.
+	mu     sync.RWMutex
+	logs   []*rowLog
+	byName map[string]int
+	idx    index
+	dups   map[key][]loc // older copies of indexed hashes
 
 	// wmu serializes appends; w is the index of this handle's log in
 	// logs, -1 until the first Put.
@@ -261,74 +263,31 @@ func (d *Dir) sweepStaleTmp() error {
 // Root returns the store's directory.
 func (d *Dir) Root() string { return d.root }
 
-// marshalEntry builds the exact record bytes Put appends for a row:
-// the envelope json.Marshal(entry) produces (the row bytes are already
-// compact and HTML-escaped, so Marshal would copy them verbatim) and a
-// trailing newline.
+// marshalEntry builds the record Put appends for a row: the entry
+// envelope and a trailing newline.
 func marshalEntry(jobHash string, r scenario.Result) ([]byte, error) {
 	row, err := json.Marshal(normalize(r))
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal row %s: %w", jobHash, err)
 	}
-	sum := sumOf(jobHash, row)
-	b := make([]byte, 0, len(row)+len(jobHash)+len(sum)+48)
-	b = append(b, `{"schema":`...)
-	b = strconv.AppendInt(b, int64(scenario.ResultSchema), 10)
-	b = append(b, `,"hash":"`...)
-	b = append(b, jobHash...)
-	b = append(b, `","sum":"`...)
-	b = append(b, sum...)
-	b = append(b, `","result":`...)
-	b = append(b, row...)
-	return append(b, "}\n"...), nil
-}
-
-// splitEnvelope cuts a record in marshalEntry's exact layout into its
-// schema, checksum and row bytes, without decoding the row.
-func splitEnvelope(jobHash string, data []byte) (schema int, sum, row []byte, ok bool) {
-	b := bytes.TrimSuffix(data, []byte{'\n'})
-	b, ok = bytes.CutPrefix(b, []byte(`{"schema":`))
-	if !ok {
-		return 0, nil, nil, false
+	e := entry{
+		Schema: scenario.ResultSchema,
+		Hash:   jobHash,
+		Sum:    sumOf(jobHash, row),
+		Result: row,
 	}
-	i := 0
-	for i < len(b) && i < 9 && '0' <= b[i] && b[i] <= '9' {
-		schema = schema*10 + int(b[i]-'0')
-		i++
+	data, err := json.Marshal(e)
+	if err != nil {
+		return nil, fmt.Errorf("store: marshal entry %s: %w", jobHash, err)
 	}
-	if i == 0 || (i > 1 && b[0] == '0') {
-		return 0, nil, nil, false
-	}
-	b = b[i:]
-	for _, part := range []string{`,"hash":"`, jobHash, `","sum":"`} {
-		if b, ok = bytes.CutPrefix(b, []byte(part)); !ok {
-			return 0, nil, nil, false
-		}
-	}
-	if len(b) < 64 {
-		return 0, nil, nil, false
-	}
-	sum, b = b[:64], b[64:]
-	if b, ok = bytes.CutPrefix(b, []byte(`","result":`)); !ok || len(b) == 0 || b[len(b)-1] != '}' {
-		return 0, nil, nil, false
-	}
-	return schema, sum, b[:len(b)-1], true
+	return append(data, '\n'), nil
 }
 
 // decodeEntry verifies one stored record and decodes its row: the
 // envelope must parse, carry a readable schema, name jobHash, and its
-// checksum must match the row bytes. A record in marshalEntry's layout
-// whose checksum matches is decoded without a second pass over the
-// envelope; anything else takes the general path, which also words the
-// errors.
+// checksum must match the row bytes.
 func decodeEntry(jobHash string, data []byte) (scenario.Result, error) {
 	var r scenario.Result
-	if schema, sum, row, ok := splitEnvelope(jobHash, data); ok && schema <= scenario.ResultSchema && sumOf(jobHash, row) == string(sum) {
-		if err := json.Unmarshal(row, &r); err != nil {
-			return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
-		}
-		return r, checkRowSchema(jobHash, r)
-	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return r, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry does not parse: %v", err)}
